@@ -116,8 +116,6 @@ fn gate_tolerance(flag: Option<&str>) -> f64 {
 
 fn main() {
     let spec = CliSpec::new("perf_report", 42)
-        .with_json()
-        .with_out()
         .with_switch(
             "check",
             "compare a fresh run against the committed baselines (exit 1 on regression)",

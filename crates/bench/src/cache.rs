@@ -10,7 +10,7 @@
 //!   is served straight from L1.
 //!
 //! Everything runs in virtual time from one seed, so the whole report is
-//! a pure function of `(schedule, seed)` — `tests/cache_golden.rs` pins
+//! a pure function of `(schedule, seed)` — `tests/golden.rs` pins
 //! the canonical JSON byte-for-byte and asserts the headline claims
 //! (≥ 90 % of requests served without a model run, follower TTFR under
 //! the warm baseline's 180 s, cost under the warm baseline's $0.48).
@@ -22,6 +22,9 @@ use evop_core::experiments::{e6_flash_crowd, E6Config, E6Result};
 use evop_sim::stats::Percentiles;
 use evop_sim::SimDuration;
 use serde_json::{json, Value};
+
+use crate::cli::CliOptions;
+use crate::scenario::{render_json, Report, DEFAULT_SEED};
 
 /// Warm-pool size of the coalesced configuration: one instance is all the
 /// leader needs; followers never touch the cloud.
@@ -127,11 +130,6 @@ impl CacheReport {
                 "cost_saving_vs_warm": round4(self.warm.cost - co.cost),
             },
         })
-    }
-
-    /// The canonical pretty string (what `--json` prints, newline-free).
-    pub fn render(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).unwrap_or_else(|_| String::from("{}"))
     }
 }
 
@@ -260,6 +258,81 @@ fn run_coalesced(crowd: usize, seed: u64) -> CoalescedOutcome {
     }
 }
 
+/// Crowd size of the pinned `report cache` scenario.
+const CROWD: usize = 40;
+
+/// `report cache`: the pinned 40-user crowd at `--seed`.
+pub(crate) fn report(opts: &CliOptions) -> Result<Box<dyn Report>, String> {
+    Ok(Box::new(flash_crowd_report(CROWD, opts.seed.unwrap_or(DEFAULT_SEED))))
+}
+
+impl Report for CacheReport {
+    fn json(&self) -> Value {
+        self.to_json()
+    }
+
+    /// `cache-<seed>.report.json`.
+    fn artifacts(&self) -> Vec<(String, String)> {
+        vec![(format!("cache-{}.report.json", self.seed), render_json(&self.to_json()))]
+    }
+
+    fn print_tables(&self) {
+        let co = &self.coalesced;
+        println!(
+            "E6 flash crowd ({} users, seed {}) — cache plane comparison",
+            self.crowd, self.seed
+        );
+        println!();
+        println!(
+            "{:<12} {:>9} {:>13} {:>11} {:>9}",
+            "config", "warm_pool", "median_ttfr_s", "p95_ttfr_s", "cost_usd"
+        );
+        for (name, pool, median, p95, cost) in [
+            (
+                "cold",
+                self.cold.warm_pool,
+                self.cold.median_first_result.as_secs_f64(),
+                self.cold.p95_first_result.as_secs_f64(),
+                self.cold.cost,
+            ),
+            (
+                "warm",
+                self.warm.warm_pool,
+                self.warm.median_first_result.as_secs_f64(),
+                self.warm.p95_first_result.as_secs_f64(),
+                self.warm.cost,
+            ),
+            (
+                "coalesced",
+                co.warm_pool,
+                co.follower_median_ttfr_secs,
+                co.follower_p95_ttfr_secs,
+                co.cost,
+            ),
+        ] {
+            println!("{name:<12} {pool:>9} {median:>13.0} {p95:>11.0} {cost:>9.4}");
+        }
+        println!();
+        println!(
+            "coalesced: {} requests = {} miss + {} followers + {} L1 hits ({:.1}% served without a model run)",
+            co.requests,
+            co.misses,
+            co.followers,
+            co.hits,
+            100.0 * co.served_without_run_ratio(),
+        );
+        println!(
+            "leader TTFR {:.0}s; repeat wave served at age {:.0}s; {} coalesce events in the broker log",
+            co.leader_ttfr_secs, co.hit_age_secs, co.coalesced_events,
+        );
+        println!(
+            "crossover: follower median beats warm baseline by {:.0}s; cost saving vs warm ${:.4}",
+            self.warm.median_first_result.as_secs_f64() - co.follower_median_ttfr_secs,
+            self.warm.cost - co.cost,
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,6 +352,10 @@ mod tests {
     fn report_is_deterministic_for_one_seed() {
         let a = flash_crowd_report(8, 7);
         let b = flash_crowd_report(8, 7);
-        assert_eq!(a.render(), b.render(), "same (schedule, seed) must be byte-identical");
+        assert_eq!(
+            render_json(&a.to_json()),
+            render_json(&b.to_json()),
+            "same (schedule, seed) must be byte-identical"
+        );
     }
 }

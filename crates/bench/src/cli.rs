@@ -1,11 +1,11 @@
 //! Tiny shared argument parser for the report binaries.
 //!
-//! Every report bin (`report`, `trace_report`, `chaos_report`,
-//! `slo_report`, `cache_report`, `perf_report`) takes the same handful of
-//! flags; this module parses them once so the binaries stay declarative.
-//! No external dependency — the grammar is a few flags plus per-binary
-//! switches ([`CliSpec::with_switch`]) and valued options
-//! ([`CliSpec::with_value`]).
+//! Every scenario of `report` (`cargo run -p evop-bench --release --bin
+//! report -- <scenario>`) and `perf_report` take the same `--seed`,
+//! `--json` and `--out` flags; this module parses them once so the
+//! binaries stay declarative. No external dependency — the grammar is
+//! those flags plus per-scenario switches ([`CliSpec::with_switch`]) and
+//! valued options ([`CliSpec::with_value`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::exit;
@@ -17,8 +17,6 @@ pub struct CliOptions {
     pub seed: Option<u64>,
     /// `--json`: emit machine-readable canonical JSON instead of tables.
     pub json: bool,
-    /// `--cell NAME`: restrict a matrix run to one named cell.
-    pub cell: Option<String>,
     /// `--out DIR`: also write exporter artifacts into this directory.
     pub out: Option<String>,
     /// Binary-specific boolean flags that were present.
@@ -39,14 +37,12 @@ impl CliOptions {
     }
 }
 
-/// Which flags a binary accepts. `--seed` and `--help` always work.
+/// Which flags a binary accepts. `--seed`, `--json`, `--out` and `--help`
+/// always work.
 #[derive(Debug, Clone)]
 pub struct CliSpec {
-    bin: &'static str,
+    bin: String,
     default_seed: u64,
-    json: bool,
-    cell: bool,
-    out: bool,
     /// Extra boolean flags: (name, help).
     switches: Vec<(&'static str, &'static str)>,
     /// Extra valued flags: (name, placeholder, help).
@@ -54,35 +50,10 @@ pub struct CliSpec {
 }
 
 impl CliSpec {
-    /// A spec accepting `--seed N` (defaulting to `default_seed`).
-    pub fn new(bin: &'static str, default_seed: u64) -> CliSpec {
-        CliSpec {
-            bin,
-            default_seed,
-            json: false,
-            cell: false,
-            out: false,
-            switches: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Also accept `--json`.
-    pub fn with_json(mut self) -> CliSpec {
-        self.json = true;
-        self
-    }
-
-    /// Also accept `--cell NAME`.
-    pub fn with_cell(mut self) -> CliSpec {
-        self.cell = true;
-        self
-    }
-
-    /// Also accept `--out DIR`.
-    pub fn with_out(mut self) -> CliSpec {
-        self.out = true;
-        self
+    /// A spec accepting the common flags, `--seed N` defaulting to
+    /// `default_seed`. `bin` is the command the usage text names.
+    pub fn new(bin: &str, default_seed: u64) -> CliSpec {
+        CliSpec { bin: bin.to_owned(), default_seed, switches: Vec::new(), values: Vec::new() }
     }
 
     /// Also accept the boolean flag `--<name>` (read back with
@@ -106,25 +77,15 @@ impl CliSpec {
 
     fn usage(&self) -> String {
         let mut flags = format!("  --seed N     simulation seed (default {})\n", self.default_seed);
-        if self.json {
-            flags.push_str("  --json       print canonical JSON instead of tables\n");
-        }
-        if self.cell {
-            flags.push_str("  --cell NAME  run only the named matrix cell\n");
-        }
-        if self.out {
-            flags.push_str("  --out DIR    also write exporter artifacts into DIR\n");
-        }
+        flags.push_str("  --json       print canonical JSON instead of tables\n");
+        flags.push_str("  --out DIR    also write exporter artifacts into DIR\n");
         for (name, help) in &self.switches {
             flags.push_str(&format!("  {:<12} {help}\n", format!("--{name}")));
         }
         for (name, placeholder, help) in &self.values {
             flags.push_str(&format!("  {:<12} {help}\n", format!("--{name} {placeholder}")));
         }
-        format!(
-            "usage: cargo run -p evop-bench --release --bin {} [--] [flags]\n{}  --help       this message",
-            self.bin, flags
-        )
+        format!("usage: {} [flags]\n{}  --help       this message", self.bin, flags)
     }
 
     /// Parses `args` (without the program name). Unknown or malformed
@@ -149,14 +110,8 @@ impl CliSpec {
                             .map_err(|_| format!("bad seed {value:?}\n{}", self.usage()))?,
                     );
                 }
-                "--json" if self.json => opts.json = true,
-                "--cell" if self.cell => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| format!("--cell needs a value\n{}", self.usage()))?;
-                    opts.cell = Some(value.clone());
-                }
-                "--out" if self.out => {
+                "--json" => opts.json = true,
+                "--out" => {
                     let value = iter
                         .next()
                         .ok_or_else(|| format!("--out needs a value\n{}", self.usage()))?;
@@ -216,20 +171,21 @@ mod tests {
 
     #[test]
     fn all_flags_parse() {
-        let spec = CliSpec::new("slo_report", 42).with_json().with_cell().with_out();
+        let spec = CliSpec::new("report slo", 42).with_value("cell", "NAME", "one cell");
         let opts = spec
             .parse(&strings(&["--seed", "7", "--json", "--cell", "api-burst", "--out", "/tmp/x"]))
             .unwrap();
         assert_eq!(opts.seed, Some(7));
         assert!(opts.json);
-        assert_eq!(opts.cell.as_deref(), Some("api-burst"));
+        assert_eq!(opts.value("cell"), Some("api-burst"));
         assert_eq!(opts.out.as_deref(), Some("/tmp/x"));
     }
 
     #[test]
     fn unaccepted_flags_are_rejected() {
         let spec = CliSpec::new("report", 42);
-        assert!(spec.parse(&strings(&["--json"])).is_err());
+        assert!(spec.parse(&strings(&["--cell", "api-burst"])).is_err());
+        assert!(spec.parse(&strings(&["--out"])).is_err(), "--out needs a value");
         assert!(spec.parse(&strings(&["--frobnicate"])).is_err());
         assert!(spec.parse(&strings(&["--seed"])).is_err());
         assert!(spec.parse(&strings(&["--seed", "not-a-number"])).is_err());

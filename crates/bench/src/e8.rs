@@ -41,6 +41,9 @@ use evop_shard::{
 use evop_sim::SimDuration;
 use serde_json::{json, Value};
 
+use crate::cli::CliOptions;
+use crate::scenario::{render_json, Report};
+
 /// Seconds per control tick — the federation heartbeat.
 pub const TICK_SECS: u64 = 60;
 
@@ -548,6 +551,93 @@ pub fn run_cell(config: &MediaEventConfig, policy: Policy) -> CellOutcome {
 pub fn run_media_event(config: &MediaEventConfig) -> MediaEventOutcome {
     let cells = config.policies.iter().map(|&p| run_cell(config, p)).collect();
     MediaEventOutcome { config: config.clone(), cells }
+}
+
+/// `report e8`: the CI-scale day (or `--full` national scale) at
+/// `--seed`, every policy or only `--cell NAME`.
+pub(crate) fn report(opts: &CliOptions) -> Result<Box<dyn Report>, String> {
+    let mut config = if opts.switch("full") {
+        MediaEventConfig::national()
+    } else {
+        MediaEventConfig::default()
+    };
+    config.seed = opts.seed.unwrap_or(config.seed);
+    if let Some(cell) = opts.value("cell") {
+        let Some(policy) = Policy::all().into_iter().find(|p| p.label() == cell) else {
+            return Err(format!(
+                "unknown cell {cell:?}; expected one of: {}",
+                Policy::all().map(Policy::label).join(", ")
+            ));
+        };
+        config.policies = vec![policy];
+    }
+    Ok(Box::new(run_media_event(&config)))
+}
+
+impl Report for MediaEventOutcome {
+    fn json(&self) -> Value {
+        self.to_json()
+    }
+
+    /// The digest plus one full tsdb snapshot per policy cell.
+    fn artifacts(&self) -> Vec<(String, String)> {
+        let seed = self.config.seed;
+        let mut files = vec![(format!("e8-{seed}.digest.json"), render_json(&self.to_json()))];
+        for cell in &self.cells {
+            files.push((
+                format!("e8-{seed}.{}.snapshot.json", cell.policy.label()),
+                cell.tsdb.snapshot_string(),
+            ));
+        }
+        files
+    }
+
+    fn print_tables(&self) {
+        let config = &self.config;
+        println!(
+            "e8_report — seed {} — {} users over {} shards / {} front-ends, kill at tick {:?}",
+            config.seed,
+            config.users,
+            config.federation.shards,
+            config.federation.front_ends,
+            config.kill_at_tick,
+        );
+        for cell in &self.cells {
+            println!("\n[{}]", cell.policy.label());
+            println!(
+                "  sessions: {} connected, {} closed, {} lost, peak {} live ({} displaced, {} rebinds, {} parked)",
+                cell.connected,
+                cell.closed,
+                cell.lost(),
+                cell.peak_total,
+                cell.displaced,
+                cell.rebinds,
+                cell.parked,
+            );
+            println!(
+                "  requests: {} hit / {} leader / {} follower / {} transient / {} late",
+                cell.requests["hit"],
+                cell.requests["leader"],
+                cell.requests["follower"],
+                cell.requests["transient"],
+                cell.requests["late"],
+            );
+            println!(
+                "  flights:  {} completed, {} aborted, {} cross-front-end",
+                cell.flights_completed, cell.flights_aborted, cell.cross_front_end,
+            );
+            println!(
+                "  slo:      page fired {} / resolved {}, {} burn window(s)",
+                cell.alert_fired(),
+                cell.alert_resolved(),
+                cell.burn.len(),
+            );
+            println!(
+                "  placement: digest {} over {} placements; cost {:.2}; peaks {:?}",
+                cell.placement_digest, cell.placements, cell.total_cost, cell.peak_live,
+            );
+        }
+    }
 }
 
 #[cfg(test)]

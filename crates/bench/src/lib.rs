@@ -2,23 +2,17 @@
 //!
 //! * `cargo bench` runs the Criterion benches (one group per experiment
 //!   family — see `benches/`);
-//! * `cargo run -p evop-bench --release --bin report` regenerates the
-//!   numbers behind every figure/claim in EXPERIMENTS.md in one pass;
-//! * `cargo run -p evop-bench --release --bin slo_report` runs the E4
-//!   alerting matrix and reports alert detection latency per fault burst;
-//! * `cargo run -p evop-bench --release --bin cache_report` reruns the E6
-//!   flash crowd cold vs warm vs coalesced against the cache plane;
+//! * `cargo run -p evop-bench --release --bin report -- [SCENARIO]` runs
+//!   one scenario of the [`scenario`] registry: `experiments` (the
+//!   default — the numbers behind every figure/claim in EXPERIMENTS.md),
+//!   `ablations`, `trace`, `chaos`, `slo` (the E4 alerting matrix),
+//!   `cache` (the E6 flash crowd against the cache plane), `tsdb` (the
+//!   diurnal soak through the time-series store and tail sampler) or `e8`
+//!   (the national media event against the sharded federation);
 //! * `cargo run -p evop-bench --release --bin perf_report` runs the fixed
 //!   perf suite and maintains the machine-readable perf trajectory
 //!   (`BENCH_sim.json` / `BENCH_e2e.json`), with `--check` as the CI
-//!   regression gate;
-//! * `cargo run -p evop-bench --release --bin tsdb_report` replays the
-//!   multi-day diurnal portal soak through the embedded time-series
-//!   store and the tail sampler, emitting forecast-ready hourly rollups;
-//! * `cargo run -p evop-bench --release --bin e8_report` replays the E8
-//!   "national media event" day against the sharded federation — one
-//!   cell per load-balancing policy, a shard kill mid-crowd
-//!   (`--full` for the ~1M-user national scale).
+//!   regression gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +21,7 @@ pub mod cache;
 pub mod cli;
 pub mod e8;
 pub mod perf;
+pub mod scenario;
 pub mod slo;
 pub mod tsdb;
 

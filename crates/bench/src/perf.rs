@@ -249,7 +249,7 @@ pub fn bench_event_loop(seed: u64, reps: usize) -> BenchRun {
 
 /// The queue-scaling workload at one size on the ladder queue: push `n`
 /// uniformly-timed events, cancel every 16th, drain the rest.
-fn wheel_workload(seed: u64, n: usize) -> f64 {
+fn ladder_workload(seed: u64, n: usize) -> f64 {
     let (secs, checksum) = time(|| {
         let mut rng = SimRng::new(seed);
         let mut queue = EventQueue::new();
@@ -293,32 +293,32 @@ fn heap_workload(seed: u64, n: usize) -> f64 {
 /// doc comment.
 pub fn bench_queue_scaling(seed: u64, reps: usize) -> BenchRun {
     const SCALES: [(usize, &str, &str, &str); 3] = [
-        (100_000, "wheel_100k_events_per_sec", "heap_100k_events_per_sec", "speedup_100k"),
-        (1_000_000, "wheel_1m_events_per_sec", "heap_1m_events_per_sec", "speedup_1m"),
-        (10_000_000, "wheel_10m_events_per_sec", "heap_10m_events_per_sec", "speedup_10m"),
+        (100_000, "ladder_100k_events_per_sec", "heap_100k_events_per_sec", "speedup_100k"),
+        (1_000_000, "ladder_1m_events_per_sec", "heap_1m_events_per_sec", "speedup_1m"),
+        (10_000_000, "ladder_10m_events_per_sec", "heap_10m_events_per_sec", "speedup_10m"),
     ];
     let mut metrics = BTreeMap::new();
     let mut work = BTreeMap::new();
     let mut reps_secs = Vec::new();
-    for (n, wheel_name, heap_name, speedup_name) in SCALES {
+    for (n, ladder_name, heap_name, speedup_name) in SCALES {
         // The 10⁷ cell is capped at two reps: one run already averages over
         // tens of millions of queue ops, and best-of-N needs contrast, not
         // volume.
         let scale_reps = if n >= 10_000_000 { reps.min(2) } else { reps };
-        let mut wheel = Vec::with_capacity(scale_reps);
+        let mut ladder = Vec::with_capacity(scale_reps);
         let mut heap = Vec::with_capacity(scale_reps);
         for rep in 0..=scale_reps {
-            let w = wheel_workload(seed, n);
+            let w = ladder_workload(seed, n);
             let h = heap_workload(seed, n);
             if rep > 0 {
-                wheel.push(w);
+                ladder.push(w);
                 heap.push(h);
             }
         }
         metrics.insert(
-            wheel_name,
+            ladder_name,
             Metric {
-                value: n as f64 / best(&wheel),
+                value: n as f64 / best(&ladder),
                 unit: "events/s",
                 direction: Direction::HigherIsBetter,
                 gated: true,
@@ -336,14 +336,14 @@ pub fn bench_queue_scaling(seed: u64, reps: usize) -> BenchRun {
         metrics.insert(
             speedup_name,
             Metric {
-                value: best(&heap) / best(&wheel),
+                value: best(&heap) / best(&ladder),
                 unit: "x",
                 direction: Direction::HigherIsBetter,
                 gated: false,
             },
         );
         if n == 1_000_000 {
-            reps_secs = wheel.clone();
+            reps_secs = ladder.clone();
         }
     }
     wall_latency_metrics(&reps_secs, &mut metrics);

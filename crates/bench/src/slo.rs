@@ -5,13 +5,16 @@
 //! for every injected fault burst, how long after the burst opened did an
 //! alert fire (or was one already burning)? The whole pipeline is virtual
 //! time and seeded, so a cell's JSON outcome is byte-identical across
-//! runs — the `slo_report` golden test pins that.
+//! runs — the `report slo` golden pins that.
 
 use evop_broker::BrokerConfig;
 use evop_chaos::{ChaosRunReport, ChaosScenario, FaultKind, FaultSchedule};
 use evop_obs::{AlertKind, AlertRecord, AlertSeverity, SloSpec};
 use evop_sim::SimDuration;
 use serde_json::{json, Value};
+
+use crate::cli::CliOptions;
+use crate::scenario::Report;
 
 /// Seeds the full matrix sweeps when `--seed` is not given.
 pub const MATRIX_SEEDS: [u64; 3] = [1, 7, 42];
@@ -356,6 +359,108 @@ fn active_intervals(alerts: &[AlertRecord]) -> Vec<AlertInterval> {
         }
     }
     intervals
+}
+
+/// The runs of one `report slo` invocation.
+struct MatrixReport(Vec<CellOutcome>);
+
+/// `report slo`: every matrix cell (or `--cell NAME`) at every matrix
+/// seed (or `--seed N`).
+pub(crate) fn report(opts: &CliOptions) -> Result<Box<dyn Report>, String> {
+    let cells = match opts.value("cell") {
+        Some(name) => vec![cell_by_name(name).ok_or_else(|| {
+            let names: Vec<&str> = e4_alerting_matrix().into_iter().map(|c| c.name).collect();
+            format!("unknown cell {name:?}; cells:\n  {}", names.join("\n  "))
+        })?],
+        None => e4_alerting_matrix(),
+    };
+    let seeds: Vec<u64> = match opts.seed {
+        Some(seed) => vec![seed],
+        None => MATRIX_SEEDS.to_vec(),
+    };
+    let mut outcomes = Vec::new();
+    for cell in &cells {
+        for &seed in &seeds {
+            outcomes.push(run_cell(cell, seed));
+        }
+    }
+    Ok(Box::new(MatrixReport(outcomes)))
+}
+
+impl Report for MatrixReport {
+    fn json(&self) -> Value {
+        json!({
+            "report": "slo-alerting-matrix",
+            "cells": self.0.iter().map(CellOutcome::to_json).collect::<Vec<Value>>(),
+        })
+    }
+
+    /// `<cell>-<seed>.snapshot.json` and `<cell>-<seed>.prom` per run.
+    fn artifacts(&self) -> Vec<(String, String)> {
+        let mut files = Vec::new();
+        for outcome in &self.0 {
+            let stem = format!("{}-{}", outcome.cell, outcome.seed);
+            let snapshot = serde_json::to_string_pretty(&outcome.report.metrics_snapshot)
+                .unwrap_or_else(|_| String::from("{}"));
+            files.push((format!("{stem}.snapshot.json"), snapshot));
+            files.push((format!("{stem}.prom"), outcome.report.prometheus.clone()));
+        }
+        files
+    }
+
+    fn print_tables(&self) {
+        println!("E4 SLO alerting matrix — alert detection latency in virtual time");
+        println!();
+        println!(
+            "{:<14} {:>6} {:<16} {:<8} {:>9} {:>6} {:<26} {:>11}",
+            "cell", "seed", "burst", "target", "start_s", "dur_s", "detected by", "latency_s"
+        );
+        let mut detected = 0usize;
+        let mut total = 0usize;
+        for outcome in &self.0 {
+            for burst in &outcome.bursts {
+                total += 1;
+                let (slo, latency) = match (&burst.slo, burst.detection_latency_secs) {
+                    (Some(slo), Some(lat)) => {
+                        detected += 1;
+                        (slo.clone(), format!("{lat:.0}"))
+                    }
+                    _ => (String::from("— MISSED —"), String::from("-")),
+                };
+                println!(
+                    "{:<14} {:>6} {:<16} {:<8} {:>9} {:>6} {:<26} {:>11}",
+                    outcome.cell,
+                    outcome.seed,
+                    burst.kind,
+                    burst.target,
+                    burst.start_secs,
+                    burst.duration_secs,
+                    slo,
+                    latency
+                );
+            }
+        }
+        println!();
+        for outcome in &self.0 {
+            let mean = outcome
+                .mean_detection_secs()
+                .map_or_else(|| String::from("-"), |v| format!("{v:.0}"));
+            let max = outcome
+                .max_detection_secs()
+                .map_or_else(|| String::from("-"), |v| format!("{v:.0}"));
+            println!(
+                "cell {:<14} seed {:<6} alerts {:>3}  mean detection {mean:>5}s  max {max:>5}s",
+                outcome.cell,
+                outcome.seed,
+                outcome.report.alerts.len(),
+            );
+        }
+        println!();
+        println!("bursts detected: {detected}/{total}");
+        if detected < total {
+            println!("WARNING: some bursts fired no alert — the health plane missed them");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!
 //! Everything runs in virtual time from one seed, so the digest JSON
 //! (and the full snapshot it hashes) is byte-identical across runs —
-//! the `tsdb_report` golden test pins it.
+//! the `report tsdb` golden pins it.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -28,11 +28,14 @@ use std::collections::BTreeSet;
 use evop_broker::{Broker, BrokerConfig, BrokerError, SessionId};
 use evop_chaos::{ChaosEngine, FaultKind, FaultSchedule};
 use evop_obs::{
-    burn_windows, AlertEngine, AlertRecord, AlertSeverity, Resolution, SamplePolicy, SloSpec,
-    TailSampler, TraceId, Tsdb, TsdbConfig,
+    burn_windows, prometheus_rollup_text, AlertEngine, AlertRecord, AlertSeverity, Resolution,
+    SamplePolicy, SloSpec, TailSampler, TraceId, Tsdb, TsdbConfig,
 };
 use evop_sim::{SimDuration, SimTime};
 use serde_json::{json, Value};
+
+use crate::cli::CliOptions;
+use crate::scenario::{Report, DEFAULT_SEED};
 
 /// Seconds per virtual day.
 const DAY_SECS: u64 = 24 * 3600;
@@ -432,6 +435,90 @@ impl DiurnalOutcome {
                 "burning_retained": acceptance.burning_retained,
             },
         })
+    }
+}
+
+/// `report tsdb`: the diurnal soak at `--seed`, `--days` long.
+pub(crate) fn report(opts: &CliOptions) -> Result<Box<dyn Report>, String> {
+    let mut config =
+        DiurnalConfig { seed: opts.seed.unwrap_or(DEFAULT_SEED), ..DiurnalConfig::default() };
+    if let Some(days) = opts.value("days") {
+        match days.parse::<u64>() {
+            Ok(days) if days > 0 => config.days = days,
+            _ => return Err(format!("--days takes a positive integer, got {days:?}")),
+        }
+    }
+    Ok(Box::new(run_diurnal(&config)))
+}
+
+impl Report for DiurnalOutcome {
+    fn json(&self) -> Value {
+        self.to_json()
+    }
+
+    /// The full rollup snapshot, the retained-trace set and one
+    /// Prometheus exposition per resolution.
+    fn artifacts(&self) -> Vec<(String, String)> {
+        let seed = self.config.seed;
+        vec![
+            (format!("tsdb-{seed}.snapshot.json"), self.tsdb.snapshot_string()),
+            (format!("tsdb-{seed}.retained.json"), self.sampler.to_json().to_string()),
+            (
+                format!("tsdb-{seed}.minute.prom"),
+                prometheus_rollup_text(&self.tsdb, Resolution::Minute),
+            ),
+            (
+                format!("tsdb-{seed}.hour.prom"),
+                prometheus_rollup_text(&self.tsdb, Resolution::Hour),
+            ),
+        ]
+    }
+
+    fn print_tables(&self) {
+        let doc = self.to_json();
+        println!(
+            "tsdb_report — seed {} — {} day(s), {} resident + {} crowd sessions",
+            self.config.seed, self.config.days, self.config.sessions, self.config.crowd_sessions,
+        );
+        println!(
+            "requests: {} attempts ({} ok, {} transient, {} hard), {} faults fired",
+            doc["requests"]["attempts"],
+            doc["requests"]["ok"],
+            doc["requests"]["transient"],
+            doc["requests"]["hard"],
+            self.faults_fired,
+        );
+        println!(
+            "tsdb: {} series ({} label-sets collapsed), snapshot fnv {}",
+            self.tsdb.series_count(),
+            self.tsdb.series_dropped(),
+            self.snapshot_fnv(),
+        );
+        let counters = self.sampler.counters();
+        println!(
+            "sampler: {} traces decided, {} retained ({} spans), {} discarded",
+            counters.decided,
+            self.sampler.retained_ids().len(),
+            self.sampler.retained_spans(),
+            counters.discarded,
+        );
+        let acceptance = self.acceptance();
+        println!(
+            "acceptance: errored {}/{} retained, burning {}/{} retained",
+            acceptance.errored_retained,
+            acceptance.errored_total,
+            acceptance.burning_retained,
+            acceptance.burning_total,
+        );
+        println!("\nhourly submissions (sum per hour window):");
+        if let Some(points) = doc["forecast"]["submit_hourly"].as_array() {
+            for point in points {
+                let hour = point["start_ms"].as_u64().unwrap_or(0) / 3_600_000;
+                let sum = point["sum"].as_f64().unwrap_or(0.0);
+                let bar = "#".repeat((sum / 5.0).min(60.0) as usize);
+                println!("  h{hour:>3}  {sum:>7.0}  {bar}");
+            }
+        }
     }
 }
 

@@ -171,7 +171,7 @@ impl FaultSchedule {
     }
 
     /// The reference "provider storm" used by the chaos regression tests
-    /// and the `chaos_report` tool: an AWS API error burst, a campus
+    /// and `report chaos`: an AWS API error burst, a campus
     /// boot-failure spell overlapping an AWS straggler spell, a short
     /// full partition of AWS (overlapping an even shorter campus
     /// partition, so provisioning transiently has nowhere to go), and a

@@ -4,8 +4,8 @@
 //! health-check cadence, the warm-pool size, the private-cloud capacity,
 //! the topographic-index discretisation and the service replica count.
 //! Each ablation sweeps one of them and reports how the headline metric
-//! moves; `cargo run -p evop-bench --release --bin ablations` prints the
-//! tables, and `tests/ablations.rs` asserts the trends.
+//! moves; `cargo run -p evop-bench --release --bin report -- ablations`
+//! prints the tables, and `tests/ablations.rs` asserts the trends.
 
 use evop_broker::{Broker, BrokerConfig, BrokerEvent, SessionId};
 use evop_cloud::FailureMode;

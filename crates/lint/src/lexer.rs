@@ -19,7 +19,7 @@
 //! Comments are skipped rather than emitted, with one exception: an
 //! `evop-lint: allow(rule-id) -- reason` marker inside a comment is parsed
 //! into a [`Directive`] so findings can be suppressed at a single site
-//! (see `crates/bench/src/bin/report.rs` for the canonical use).
+//! (see `crates/bench/src/scenario/experiments.rs` for the canonical use).
 
 use std::fmt;
 

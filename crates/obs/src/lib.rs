@@ -15,7 +15,7 @@
 //!   flight-recorder ring buffer. Span and trace ids are sequential, so
 //!   two runs with the same seed produce byte-identical exports;
 //! * [`timeline`] — renders one trace as an ASCII tree or a JSON
-//!   document, for the `trace_report` binary and the examples.
+//!   document, for `report trace` and the examples.
 //!
 //! On top of that substrate sits the *health plane* (PR 4):
 //!

@@ -1,5 +1,5 @@
 //! Trend assertions over the ablation sweeps (see
-//! `evop::ablations` and `cargo run -p evop-bench --bin ablations`).
+//! `evop::ablations` and `cargo run -p evop-bench --bin report -- ablations`).
 
 use evop::ablations::*;
 use evop::sim::SimDuration;
