@@ -79,53 +79,12 @@ impl fmt::Display for CacheKey {
 
 /// Renders JSON deterministically: object keys sorted, compact separators.
 ///
-/// `serde_json`'s default `Map` already sorts, but canonicalisation is a
-/// correctness property here (two spellings of the same inputs must
-/// collide), so it is enforced structurally rather than assumed from a
-/// feature flag.
+/// Two spellings of the same inputs must collide. The vendored
+/// `serde_json::Map` is a `BTreeMap`, so every object's keys are sorted by
+/// its type and the shared compact writer already emits this form.
 pub fn canonical_json(value: &Value) -> String {
-    let mut out = String::new();
-    write_canonical(value, &mut out);
-    out
-}
-
-fn write_canonical(value: &Value, out: &mut String) {
-    match value {
-        Value::Object(map) => {
-            let mut entries: Vec<(&String, &Value)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_scalar(&Value::String((*k).clone()), out);
-                out.push(':');
-                write_canonical(v, out);
-            }
-            out.push('}');
-        }
-        Value::Array(items) => {
-            out.push('[');
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_canonical(v, out);
-            }
-            out.push(']');
-        }
-        scalar => render_scalar(scalar, out),
-    }
-}
-
-fn render_scalar(value: &Value, out: &mut String) {
-    match serde_json::to_string(value) {
-        Ok(s) => out.push_str(&s),
-        // Scalars cannot fail to serialise; the fallback keeps the
-        // function total without masking object/array structure.
-        Err(_) => out.push_str("null"),
-    }
+    // Encoding a `Value` cannot fail.
+    serde_json::to_string(value).unwrap_or_default()
 }
 
 /// FNV-1a over `bytes` — the same dependency-free hash

@@ -29,13 +29,14 @@ use std::sync::Arc;
 use evop_data::catalog::Query;
 use evop_data::catchment::CatchmentId;
 use evop_data::geo::{BoundingBox, LatLon};
-use evop_data::{SensorId, Timestamp};
+use evop_data::{Observation, SensorId, Timestamp};
 use evop_services::rest::{PathParams, Router};
 use evop_services::sos::GetObservation;
 use evop_services::wps::WpsError;
 #[cfg(test)]
 use evop_services::Request;
 use evop_services::Response;
+use serde::Serialize;
 use serde_json::{json, Value};
 
 use crate::observatory::Evop;
@@ -126,16 +127,8 @@ pub fn portal_api(evop: Arc<Evop>) -> Router {
             max_results: limit,
         }) {
             Ok(observations) => {
-                let body: Vec<Value> = observations
-                    .iter()
-                    .map(|o| {
-                        json!({
-                            "time": o.time().as_unix(),
-                            "value": o.value(),
-                            "quality": o.quality().to_string(),
-                        })
-                    })
-                    .collect();
+                let body: Vec<ObservationRow<'_>> =
+                    observations.into_iter().map(ObservationRow).collect();
                 Response::ok().json(&body)
             }
             Err(e) => Response::not_found(e.to_string()),
@@ -149,11 +142,7 @@ pub fn portal_api(evop: Arc<Evop>) -> Router {
         };
         let sensor = SensorId::new(id);
         match shared.sos().latest(&sensor) {
-            Some(o) => Response::ok().json(&json!({
-                "time": o.time().as_unix(),
-                "value": o.value(),
-                "quality": o.quality().to_string(),
-            })),
+            Some(o) => Response::ok().json(&ObservationRow(o)),
             None => Response::not_found(format!("no observations for {sensor}")),
         }
     });
@@ -384,6 +373,36 @@ pub fn portal_api(evop: Arc<Evop>) -> Router {
     });
 
     router
+}
+
+/// One observation as the SOS routes render it:
+/// `{"quality":…,"time":…,"value":…}`, a NaN value as `null`.
+///
+/// [`Serialize::to_value`] builds the `json!` tree any generic caller
+/// expects; [`Serialize::write_json`] writes the same bytes straight into
+/// the response buffer, which is what an observation window of a few
+/// thousand rows is encoded through.
+struct ObservationRow<'a>(&'a Observation);
+
+impl Serialize for ObservationRow<'_> {
+    fn to_value(&self) -> Value {
+        json!({
+            "time": self.0.time().as_unix(),
+            "value": self.0.value(),
+            "quality": self.0.quality().as_str(),
+        })
+    }
+
+    fn write_json(&self, out: &mut String) {
+        // Keys in the sorted order the tree's map renders them in.
+        out.push_str("{\"quality\":");
+        self.0.quality().as_str().write_json(out);
+        out.push_str(",\"time\":");
+        self.0.time().as_unix().write_json(out);
+        out.push_str(",\"value\":");
+        self.0.value().write_json(out);
+        out.push('}');
+    }
 }
 
 fn catchment_json(catchment: &evop_data::Catchment) -> Value {
@@ -636,5 +655,90 @@ mod tests {
         let replica = router.clone();
         let req = Request::get("/catchments/morland/sensors");
         assert_eq!(router.dispatch(&req).body_bytes(), replica.dispatch(&req).body_bytes());
+    }
+
+    /// The `json!` tree the observation routes encoded before
+    /// [`ObservationRow`] wrote itself.
+    fn observation_tree(o: &Observation) -> Value {
+        json!({
+            "time": o.time().as_unix(),
+            "value": o.value(),
+            "quality": o.quality().to_string(),
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn observation_rows_encode_as_their_json_trees(
+            samples in proptest::collection::vec(
+                (0usize..4, 0usize..8, -1e6f64..1e6, -100_000i64..100_000),
+                0..60,
+            ),
+        ) {
+            use evop_data::QualityFlag;
+            let flags =
+                [QualityFlag::Good, QualityFlag::Suspect, QualityFlag::Estimated, QualityFlag::Missing];
+            let window: Vec<Observation> = samples
+                .iter()
+                .map(|&(flag, special, value, hours)| {
+                    let value = match special {
+                        0 => f64::NAN,
+                        1 => -0.0,
+                        2 => value.trunc(),
+                        3 => value * 1e-9,
+                        _ => value,
+                    };
+                    let time = Timestamp::from_unix(1_325_376_000 + 3600 * hours);
+                    Observation::with_quality(SensorId::new("s"), time, value, flags[flag])
+                })
+                .collect();
+            let rows: Vec<ObservationRow<'_>> = window.iter().map(ObservationRow).collect();
+            let tree: Vec<Value> = window.iter().map(observation_tree).collect();
+            proptest::prop_assert_eq!(
+                Response::ok().json(&rows).body_bytes(),
+                &serde_json::to_vec(&tree).unwrap()[..]
+            );
+            for (row, o) in rows.iter().zip(&window) {
+                proptest::prop_assert_eq!(row.to_value(), observation_tree(o));
+            }
+        }
+    }
+
+    #[test]
+    fn observation_routes_serve_their_json_trees() {
+        let evop = Arc::new(Evop::builder().seed(5).days(5).build());
+        let router = portal_api(Arc::clone(&evop));
+        let from = Timestamp::from_ymd(2012, 1, 1);
+        let to = Timestamp::from_ymd(2012, 1, 4);
+        let catchment = &evop.catchments()[0];
+        let mut served = 0;
+        for sensor in catchment.default_sensors() {
+            let id = sensor.id();
+            let window = evop
+                .sos()
+                .get_observation(&GetObservation {
+                    procedure: id.clone(),
+                    begin: from,
+                    end: to,
+                    max_results: None,
+                })
+                .unwrap();
+            if window.is_empty() {
+                continue; // webcams archive frames, not observations
+            }
+            served += 1;
+            let tree: Vec<Value> = window.into_iter().map(observation_tree).collect();
+            let resp = router.dispatch(
+                &Request::get(format!("/sensors/{id}/observations"))
+                    .query("from", from.as_unix().to_string())
+                    .query("to", to.as_unix().to_string()),
+            );
+            assert_eq!(resp.body_bytes(), &serde_json::to_vec(&tree).unwrap()[..]);
+
+            let latest = evop.sos().latest(id).map(observation_tree).unwrap();
+            let resp = router.dispatch(&Request::get(format!("/sensors/{id}/latest")));
+            assert_eq!(resp.body_bytes(), &serde_json::to_vec(&latest).unwrap()[..]);
+        }
+        assert!(served >= 3, "only {served} sensors had observations");
     }
 }

@@ -184,15 +184,21 @@ pub enum QualityFlag {
     Missing,
 }
 
-impl fmt::Display for QualityFlag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl QualityFlag {
+    /// The flag's lower-case name, as displayed.
+    pub fn as_str(self) -> &'static str {
+        match self {
             QualityFlag::Good => "good",
             QualityFlag::Suspect => "suspect",
             QualityFlag::Estimated => "estimated",
             QualityFlag::Missing => "missing",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for QualityFlag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
